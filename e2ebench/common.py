@@ -7,6 +7,7 @@ into the printed metric table and the final JSON line.
 
 from __future__ import annotations
 
+import gc
 import os
 import resource
 import shutil
@@ -15,6 +16,8 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 #: Checkout root (the directory holding ``src/`` and this package).
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -98,6 +101,74 @@ def bench_config(seed: int):
         fabric=FabricConfig(locations_per_million=LOCATIONS_PER_MILLION),
         providers=ProviderConfig(n_providers=N_PROVIDERS),
     )
+
+
+#: Seconds :func:`reference_job` takes on the reference host (a 2-core
+#: x86 VM at 2.1 GHz in a quiet period).  Only the ratio to it is used.
+HOST_REF_S = 0.08
+#: Reference jobs per :meth:`HostSpeed.sample`.
+HOST_REPEATS = 3
+#: Time metrics scaled by the host's slowdown: ``-1`` divides (seconds,
+#: lower is better), ``+1`` multiplies (a rate, higher is better).  A
+#: workload module may narrow this with its own ``HOST_SCALED``.
+HOST_SCALED = {"setup_s": -1, "op_s": -1, "claims_per_s": +1}
+
+
+def reference_job() -> int:
+    """Fixed work of the three kinds the workloads do: an interpreted
+    loop, numpy kernels and small-object allocation."""
+    total = 0
+    for i in range(1_000_000):
+        total += i * i
+    # Small arrays: large ones would time the allocator's page faults.
+    values = np.random.default_rng(0).random(8_192)
+    for _ in range(150):
+        np.sort(values)
+        values * 2.0 + 1.0
+    for _ in range(20):
+        total += len([{"key": i} for i in range(10_000)])
+    return total
+
+
+class HostSpeed:
+    """How much slower the host runs now than the reference host.
+
+    The benchmark shares its machine, whose speed drifts by up to 2x over
+    tens of minutes: the same pipeline run at seed 7 took 7.7 s, then
+    4.0 s an hour later, while a fixed pure-Python loop went from 0.28 s
+    to 0.15 s.  Each run therefore times the reference job at its start,
+    between its operations and at its end, outside every timed region
+    and while the program is idle, and scales its time metrics to the
+    reference host by the median of those samples.
+    """
+
+    def __init__(self):
+        self.samples: list[float] = []
+        reference_job()  # first calls in a process run slow; not a sample
+
+    def sample(self) -> float:
+        """Time the reference job ``HOST_REPEATS`` times; returns the
+        seconds spent, so a caller can leave them out of its budget."""
+        start = time.perf_counter()
+        for _ in range(HOST_REPEATS):
+            gc.collect()
+            seconds, _ = timed(reference_job)
+            self.samples.append(seconds)
+        return time.perf_counter() - start
+
+    def slowdown(self) -> float:
+        return median(self.samples) / HOST_REF_S
+
+    def scale(self, result: "Result", scaled: dict = HOST_SCALED) -> None:
+        """Scale ``result``'s ``scaled`` time metrics to the reference
+        host and keep the measured values as ``<name>.raw`` notes."""
+        slowdown = self.slowdown()
+        result.note("host.slowdown", slowdown, "x")
+        for name, sign in scaled.items():
+            if name in result.metrics:
+                metric = result.metrics[name]
+                result.note(f"{name}.raw", metric.value, metric.unit)
+                result.put(name, metric.value * slowdown ** sign, metric.unit)
 
 
 def timed(fn, *args, **kwargs):

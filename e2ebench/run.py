@@ -36,9 +36,13 @@ def main(argv=None) -> int:
     common.require_source_tree()
     common.keep_temp_files_local()
     module = __import__(f"wl_{args.workload}")
+    host = common.HostSpeed()
+    host.sample()
     correct = True
     try:
-        result = module.run(args.seed, args.seconds, bool(args.trace))
+        result = module.run(args.seed, args.seconds, bool(args.trace), host)
+        host.sample()
+        host.scale(result, getattr(module, "HOST_SCALED", common.HOST_SCALED))
     except common.CheckFailed as exc:
         print(f"CHECK FAILED: {exc}", file=sys.stderr)
         correct = False

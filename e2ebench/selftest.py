@@ -89,10 +89,12 @@ def main(argv=None) -> int:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            conn = httpload.Conn(server.server_address[1])
-            bodies[name, "point"] = conn.request("GET", point_path)[1]
-            bodies[name, "traced"] = conn.request("GET", point_path + "?trace=1")[1]
-            bodies[name, "batch"] = conn.request("POST", "/v2/claims:batchScore", batch)[1]
+            conn = httpload.connection(server.server_address[1])
+            bodies[name, "point"] = httpload.request(conn, "GET", point_path)[1]
+            bodies[name, "traced"] = httpload.request(conn, "GET", point_path + "?trace=1")[1]
+            bodies[name, "batch"] = httpload.request(
+                conn, "POST", "/v2/claims:batchScore", batch
+            )[1]
             conn.close()
         finally:
             server.shutdown()
