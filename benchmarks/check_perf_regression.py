@@ -3,15 +3,15 @@
 Replays the quick variants of ``bench_perf_gbdt.py``,
 ``bench_perf_vectorize.py``, ``bench_perf_bayesopt.py``,
 ``bench_perf_serve.py``, ``bench_perf_latency.py``,
-``bench_perf_shard.py``, ``bench_perf_obs.py``, and
-``bench_perf_enrich.py`` on the current
+``bench_perf_shard.py``, ``bench_perf_obs.py``,
+``bench_perf_enrich.py``, and ``bench_perf_geo.py`` on the current
 machine and compares the
 *speedup ratios* (vectorized kernel vs. seed reference, shared-binning
 tuning vs. per-trial binning, micro-batched vs. single-claim serving
 lookups, the v2 batch endpoint vs. the v1 bulk path over HTTP, shed
 vs. unbounded p99 under 2x overload, the shard-parallel build vs.
-one worker, and bare vs. instrumented batch scoring, both sides
-measured fresh) against the committed
+one worker, bare vs. instrumented batch scoring, and batched vs.
+scalar MLab localization, both sides measured fresh) against the committed
 ``BENCH_perf.json``.  Comparing
 ratios instead of wall times keeps the check meaningful across
 heterogeneous CI hardware: a genuine hot-path regression halves the
@@ -37,6 +37,7 @@ import _perfutil
 import bench_perf_bayesopt
 import bench_perf_enrich
 import bench_perf_gbdt
+import bench_perf_geo
 import bench_perf_latency
 import bench_perf_obs
 import bench_perf_serve
@@ -59,6 +60,7 @@ REQUIRED_SECTIONS = {
     "shard": ("parallel_build_speedup", "python benchmarks/bench_perf_shard.py"),
     "obs": ("bare_vs_instrumented", "python benchmarks/bench_perf_obs.py"),
     "enrich": ("base_vs_enriched", "python benchmarks/bench_perf_enrich.py"),
+    "geo": ("batched_vs_scalar", "python benchmarks/bench_perf_geo.py"),
 }
 
 
@@ -138,6 +140,15 @@ def main() -> int:
         if expected is not None:
             checks.append(
                 ("enrich", row["size"], expected, row["base_vs_enriched"])
+            )
+    geo_base = _baseline_speedups(baseline, "geo", "batched_vs_scalar")
+    # The geo replay also re-asserts batched == scalar localization (hit
+    # sets and drop counts) inside bench_perf_geo.run() itself.
+    for row in bench_perf_geo.run(quick=True):
+        expected = geo_base.get(row["size"])
+        if expected is not None:
+            checks.append(
+                ("geo", row["size"], expected, row["batched_vs_scalar"])
             )
     serve_base = _baseline_speedups(baseline, "serve", "lookup_speedup")
     http_base = _baseline_speedups(baseline, "serve_http", "batch_v2_vs_v1")

@@ -10,7 +10,9 @@ from repro.dataset.labeling import (
 )
 from repro.dataset.likely_served import (
     MAX_GEOLOCATION_RADIUS_M,
+    MLabHits,
     MLabLocalization,
+    attribute_mlab_tests,
     likely_served_claims,
     localize_mlab_tests,
     service_coverage_scores,
@@ -38,7 +40,9 @@ __all__ = [
     "label_from_challenges",
     "label_from_changes",
     "MAX_GEOLOCATION_RADIUS_M",
+    "MLabHits",
     "MLabLocalization",
+    "attribute_mlab_tests",
     "likely_served_claims",
     "localize_mlab_tests",
     "service_coverage_scores",

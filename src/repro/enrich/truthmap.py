@@ -1,15 +1,18 @@
 """Tile-level measured-truth aggregates per (provider, cell).
 
-The truth map is the enrichment layer's ground surface: every attributed
-MLab test is localized to the hex cells it may have run in (the same
-attribution pipeline as :func:`repro.dataset.likely_served.localize_mlab_tests`
-— ASN crosswalk union, accuracy-radius cap, intersection with the
-provider's claimed footprint) and its measured throughputs accumulate
-per (provider, cell) tile.  Each tile then aggregates *per direction*
-through :func:`repro.speedtests.aggregate.directional_summary`: median
-and p90 measured download/upload, with an unmeasured direction coded as
-``NaN`` — never ``0.0`` (a zero measurement and a missing measurement
-mean opposite things to an overstatement ratio).
+The truth map is the enrichment layer's ground surface.  It reads the
+attribution pass the MLab localization already made
+(:func:`repro.dataset.likely_served.attribute_mlab_tests` — ASN
+crosswalk union, accuracy-radius cap, intersection with the provider's
+claimed footprint — kept on the :class:`MLabLocalization` as ``hits``),
+so a tile's ``n_tests`` is the localization's test count by
+construction.  Each tile aggregates its tests' measured throughputs
+*per direction*, with the semantics of
+:func:`repro.speedtests.aggregate.directional_summary` reproduced
+bitwise by grouped array operations: median and p90 measured
+download/upload over the finite, positive samples, with an unmeasured
+direction coded as ``NaN`` — never ``0.0`` (a zero measurement and a
+missing measurement mean opposite things to an overstatement ratio).
 
 The result is a frozen struct-of-arrays table in sorted
 (provider, cell) order with a lazy two-column composite index, persisted
@@ -28,11 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.asn.matching import CrosswalkResult
-from repro.dataset.likely_served import MAX_GEOLOCATION_RADIUS_M
-from repro.geo import cells_within_radius
+from repro.dataset.likely_served import MLabLocalization
+
+# Unused since the truth map reads the localization's attribution pass.
+# It stays importable here because the end-to-end benchmark's layer table
+# (e2ebench/layers.py) wraps ``repro.enrich.truthmap.cells_within_radius``
+# by name as its ``geo.radius`` span, which now counts 0 calls.
+from repro.geo import cells_within_radius  # noqa: F401
 from repro.obs.metrics import get_metrics
-from repro.speedtests.aggregate import directional_summary
+from repro.speedtests.aggregate import _P90
 from repro.speedtests.mlab import MLabTest
 from repro.utils.indexing import MultiColumnIndex
 
@@ -219,76 +226,73 @@ class TruthMap:
         return out
 
 
+def _median_p90(tile: np.ndarray, samples: np.ndarray, n_tiles: int):
+    """Per-tile median and linear p90 of the finite, positive samples.
+
+    Bitwise equal to ``np.median`` / ``np.quantile(..., 0.9)`` over each
+    tile's valid samples (the arithmetic of numpy's even-length mean and
+    linear interpolation, step for step); ``NaN`` where a tile has none.
+    """
+    valid = np.isfinite(samples) & (samples > 0.0)
+    tile, samples = tile[valid], samples[valid]
+    order = np.lexsort((samples, tile))
+    values = samples[order]
+    n = np.bincount(tile, minlength=n_tiles)
+    start = np.cumsum(n) - n
+    median = np.full(n_tiles, np.nan)
+    p90 = np.full(n_tiles, np.nan)
+    has = np.flatnonzero(n)
+    s, m = start[has], n[has]
+
+    mid = s + m // 2
+    median[has] = values[mid]
+    even = m % 2 == 0
+    median[has[even]] = (values[mid[even] - 1] + values[mid[even]]) / 2.0
+
+    virtual = (m - 1) * _P90
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lo = s + below.astype(np.int64)
+    hi = np.minimum(lo + 1, s + m - 1)
+    a, b = values[lo], values[hi]
+    diff = b - a
+    p90[has] = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return median, p90
+
+
 def build_truth_map(
-    tests: list[MLabTest],
-    crosswalk: CrosswalkResult,
-    claimed_cells_by_provider: dict[int, set[int]],
-    res: int = 8,
-    max_radius_m: float = MAX_GEOLOCATION_RADIUS_M,
+    tests: list[MLabTest], localization: MLabLocalization
 ) -> TruthMap:
     """Aggregate attributed MLab tests into per-(provider, cell) tiles.
 
-    Attribution and localization mirror
-    :func:`repro.dataset.likely_served.localize_mlab_tests` exactly —
-    crosswalk-union ASN attribution, the 20 km accuracy-radius cap,
-    candidate hexes intersected with the provider's claimed footprint —
-    so a tile's ``n_tests`` equals the localization's test count for the
-    same key.  On top of the counts, each tile accumulates the tests'
-    measured throughputs and aggregates them per direction
-    (:func:`repro.speedtests.aggregate.directional_summary`): an
-    unmeasured direction is ``NaN``, never ``0.0``.
+    ``localization`` must come from
+    :func:`repro.dataset.likely_served.localize_mlab_tests` over the same
+    ``tests``: its ``hits`` are the attribution pass this aggregates, so
+    the tiles are exactly the localization's (provider, cell) keys and
+    ``n_tests`` its counts.  Each tile's measured throughputs aggregate
+    per direction: an unmeasured direction is ``NaN``, never ``0.0``.
+    A localization without hits (one restored from a feature-table
+    bundle, which persists counts only) raises ``ValueError``.
     """
+    hits = localization.hits
+    if hits is None:
+        raise ValueError(
+            "localization carries no attribution hits (a feature-table "
+            "bundle persists counts only); build the truth map from "
+            "localize_mlab_tests over the original MLab tests"
+        )
     with get_metrics().histogram("enrich_build_seconds", stage="truthmap").time():
-        asn_to_providers: dict[int, set[int]] = {}
-        for pid, asns in crosswalk.union.items():
-            for asn in asns:
-                asn_to_providers.setdefault(asn, set()).add(pid)
-
-        down_samples: dict[tuple[int, int], list[float]] = {}
-        up_samples: dict[tuple[int, int], list[float]] = {}
-        counts: dict[tuple[int, int], int] = {}
-        for test in tests:
-            if test.accuracy_radius_m > max_radius_m:
-                continue
-            providers = asn_to_providers.get(test.asn)
-            if not providers:
-                continue
-            candidates = set(
-                cells_within_radius(test.lat, test.lng, test.accuracy_radius_m, res)
-            )
-            for pid in providers:
-                claimed = claimed_cells_by_provider.get(pid)
-                if not claimed:
-                    continue
-                hits = candidates & claimed
-                for cell in hits:
-                    key = (pid, int(cell))
-                    counts[key] = counts.get(key, 0) + 1
-                    down_samples.setdefault(key, []).append(test.download_mbps)
-                    up_samples.setdefault(key, []).append(test.upload_mbps)
-
-        keys = sorted(counts)
-        n = len(keys)
-        provider_id = np.empty(n, dtype=np.int64)
-        cell = np.empty(n, dtype=np.uint64)
-        median_down = np.empty(n, dtype=np.float64)
-        p90_down = np.empty(n, dtype=np.float64)
-        median_up = np.empty(n, dtype=np.float64)
-        p90_up = np.empty(n, dtype=np.float64)
-        n_tests = np.empty(n, dtype=np.int64)
-        for i, key in enumerate(keys):
-            pid, c = key
-            summary = directional_summary(down_samples[key], up_samples[key])
-            provider_id[i] = pid
-            cell[i] = c
-            median_down[i] = summary.median_down
-            p90_down[i] = summary.p90_down
-            median_up[i] = summary.median_up
-            p90_up[i] = summary.p90_up
-            n_tests[i] = counts[key]
+        n = len(tests)
+        down = np.fromiter((t.download_mbps for t in tests), np.float64, count=n)
+        up = np.fromiter((t.upload_mbps for t in tests), np.float64, count=n)
+        starts, n_tests = hits.tiles()
+        n_tiles = starts.size
+        tile = np.repeat(np.arange(n_tiles), n_tests)
+        median_down, p90_down = _median_p90(tile, down[hits.test_index], n_tiles)
+        median_up, p90_up = _median_p90(tile, up[hits.test_index], n_tiles)
         return TruthMap(
-            provider_id=provider_id,
-            cell=cell,
+            provider_id=hits.provider_id[starts],
+            cell=hits.cell[starts],
             median_down=median_down,
             p90_down=p90_down,
             median_up=median_up,

@@ -32,7 +32,8 @@ import math
 
 import numpy as np
 
-from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m
+from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m, haversine_m_vec
+from repro.utils.indexing import expand_ranges
 from repro.utils.validation import check_latitude, check_longitude, check_positive
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "cells_to_axial_vec",
     "grid_neighbors",
     "cells_within_radius",
+    "cells_within_radius_vec",
     "cell_boundary",
     "cell_to_parent",
     "cell_to_children",
@@ -217,11 +219,14 @@ def latlng_to_cell_vec(lats: np.ndarray, lngs: np.ndarray, res: int) -> np.ndarr
     """Vectorized :func:`latlng_to_cell`; returns a uint64 array.
 
     Values equal the scalar function's output element-wise (cell ids exceed
-    the int64 range at fine resolutions, hence uint64).
+    the int64 range at fine resolutions, hence uint64), and so does
+    validation: a non-finite or out-of-range coordinate raises the
+    ``ValueError`` the scalar function raises for the first such point.
     """
     _check_res(res)
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
+    _check_points(lats, lngs)
     phi = np.radians(lats)
     dl = (lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0
     x = EARTH_RADIUS_M * np.radians(dl) * np.cos(phi)
@@ -238,13 +243,7 @@ def latlng_to_cell_vec(lats: np.ndarray, lngs: np.ndarray, res: int) -> np.ndarr
     fix_r = ~fix_q & (dr > ds)
     q[fix_q] = -r[fix_q] - s[fix_q]
     r[fix_r] = -q[fix_r] - s[fix_r]
-    qi = q.astype(np.int64) + _COORD_OFFSET
-    ri = r.astype(np.int64) + _COORD_OFFSET
-    return (
-        (np.uint64(res) << np.uint64(2 * _COORD_BITS))
-        | (qi.astype(np.uint64) << np.uint64(_COORD_BITS))
-        | ri.astype(np.uint64)
-    )
+    return _pack_vec(res, q.astype(np.int64), r.astype(np.int64))
 
 
 def cells_to_axial_vec(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,23 +266,30 @@ def grid_distance_vec(cells: np.ndarray, other: int) -> np.ndarray:
 def cell_to_latlng_vec(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`cell_to_latlng` for a uint64 cell array."""
     cells = np.asarray(cells, dtype=np.uint64)
-    res = (cells >> np.uint64(2 * _COORD_BITS)).astype(np.int64)
+    res, q, r = cells_to_axial_vec(cells)
     if cells.size and not (res == res.flat[0]).all():
         raise ValueError("all cells must share one resolution")
-    q = ((cells >> np.uint64(_COORD_BITS)) & np.uint64(_COORD_MASK)).astype(np.int64) - _COORD_OFFSET
-    r = (cells & np.uint64(_COORD_MASK)).astype(np.int64) - _COORD_OFFSET
     if cells.size == 0:
         return np.empty(0), np.empty(0)
-    size = edge_length_m(int(res.flat[0]))
+    return _axial_to_latlng_vec(q, r, edge_length_m(int(res.flat[0])))
+
+
+def _axial_to_latlng_vec(
+    q: np.ndarray, r: np.ndarray, size: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids of axial cells: :func:`_axial_to_xy` + :func:`_unproject`
+    step for step, pole and clamp cases included."""
     x = size * _SQRT3 * (q + r / 2.0)
     y = size * 1.5 * r
     phi = y / EARTH_RADIUS_M
     lat = np.degrees(phi)
     coslat = np.cos(phi)
-    safe = np.abs(coslat) > 1e-12
-    lng = np.zeros_like(x)
-    lng[safe] = np.degrees(x[safe] / (EARTH_RADIUS_M * coslat[safe]))
+    lng = np.degrees(x / (EARTH_RADIUS_M * coslat))
     lng = (lng + CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0
+    pole = np.abs(coslat) < 1e-12
+    if pole.any():
+        lat = np.where(pole, np.where(lat > 0, 90.0, -90.0), lat)
+        lng = np.where(pole, 0.0, lng)
     return np.clip(lat, -90.0, 90.0), np.clip(lng, -180.0, 180.0)
 
 
@@ -339,31 +345,153 @@ def grid_distance(cell_a: int, cell_b: int) -> int:
     return int((abs(dq) + abs(dr) + abs(dq + dr)) // 2)
 
 
+def _disk_k(lat: float, lng: float, radius_m: float, res: int) -> int:
+    """Hex-disk size whose cells cover every centroid within ``radius_m``.
+
+    Adjacent centre spacing is sqrt(3) * edge in the projected plane.  The
+    sinusoidal projection shears shapes away from the central meridian by
+    up to sqrt(1 + (dlmb * sin(phi))^2); the disk is widened by that factor
+    (plus one ring for the point's offset inside its own cell), and callers
+    then filter by true geodesic distance.
+    """
+    dlmb = math.radians(_wrap_degrees(lng - CENTRAL_MERIDIAN_DEG))
+    shear = math.sqrt(1.0 + (dlmb * math.sin(math.radians(lat))) ** 2)
+    spacing = _SQRT3 * edge_length_m(res)
+    return int(math.ceil(shear * radius_m / spacing)) + 1
+
+
 def cells_within_radius(lat: float, lng: float, radius_m: float, res: int) -> list[int]:
     """Cells whose centroid lies within a geodesic radius of a point.
 
     This is the primitive the MLab localization step uses: "all hexes within
     the accuracy radius recorded in the IP geolocation of the test".
+    :func:`cells_within_radius_vec` answers the same query for many points.
     """
     check_latitude(lat)
     check_longitude(lng)
     check_positive(radius_m, "radius_m")
     _check_res(res)
     center = latlng_to_cell(lat, lng, res)
-    # Adjacent centre spacing is sqrt(3) * edge in the projected plane.  The
-    # sinusoidal projection shears shapes away from the central meridian by
-    # up to sqrt(1 + (dlmb * sin(phi))^2); widen the candidate disk by that
-    # factor, then filter by true geodesic distance.
-    dlmb = math.radians(_wrap_degrees(lng - CENTRAL_MERIDIAN_DEG))
-    shear = math.sqrt(1.0 + (dlmb * math.sin(math.radians(lat))) ** 2)
-    spacing = _SQRT3 * edge_length_m(res)
-    k = int(math.ceil(shear * radius_m / spacing)) + 1
     out = []
-    for cell in grid_disk(center, k):
+    for cell in grid_disk(center, _disk_k(lat, lng, radius_m, res)):
         clat, clng = cell_to_latlng(cell)
         if haversine_m(lat, lng, clat, clng) <= radius_m:
             out.append(cell)
     return out
+
+
+#: Cap on (points x disk cells) handled per numpy block by
+#: :func:`cells_within_radius_vec`, so its memory stays bounded (a few
+#: MB of temporaries) whatever the number of points or the disk size.
+_RADIUS_BLOCK = 1 << 17
+
+#: Distances within this relative band of the radius are re-decided by
+#: the scalar :func:`cell_to_latlng` + :func:`haversine_m`.  numpy's
+#: transcendental functions may differ from libm's by a few ulps; the
+#: band is orders of magnitude wider than that, so every boundary call
+#: is made exactly as :func:`cells_within_radius` makes it.
+_RADIUS_RECHECK_REL = 1e-6
+
+
+def _check_points(lats, lngs, radii=None) -> None:
+    """Raise the scalar validators' ``ValueError`` for the first bad point."""
+    ok = (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0)
+    if radii is not None:
+        ok &= radii > 0.0
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        check_latitude(lats.ravel()[i])
+        check_longitude(lngs.ravel()[i])
+        check_positive(radii.ravel()[i], "radius_m")
+
+
+def _pack_vec(res: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`pack_cell` (no range check)."""
+    return (
+        (np.uint64(res) << np.uint64(2 * _COORD_BITS))
+        | ((q + _COORD_OFFSET).astype(np.uint64) << np.uint64(_COORD_BITS))
+        | (r + _COORD_OFFSET).astype(np.uint64)
+    )
+
+
+def cells_within_radius_vec(
+    lats: np.ndarray,
+    lngs: np.ndarray,
+    radii_m: np.ndarray,
+    res: int,
+    among: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`cells_within_radius`, restricted to a set of cells.
+
+    ``among`` is a sorted, unique uint64 array of cells.  Returns
+    ``(point, cell)``: int64 positions into the inputs and uint64 cells,
+    one row per pair with ``cell`` in both ``among`` and
+    ``cells_within_radius(lats[point], lngs[point], radii_m[point], res)``
+    — exactly that set: each disk has the scalar disk's size, and every
+    centroid within ``_RADIUS_RECHECK_REL`` of the radius is decided by
+    the scalar distance.  An invalid point raises the scalar function's
+    ``ValueError`` for the first such point.  Rows come grouped by disk
+    size, not by point.
+
+    A disk column (fixed axial ``q``) is one contiguous run of packed
+    cell ids, so each column is two binary searches into ``among``, and
+    distances are computed only for the ``among`` cells inside a disk.
+    """
+    lats = np.asarray(lats, dtype=np.float64).ravel()
+    lngs = np.asarray(lngs, dtype=np.float64).ravel()
+    radii = np.asarray(radii_m, dtype=np.float64).ravel()
+    among = np.asarray(among, dtype=np.uint64)
+    _check_points(lats, lngs, radii)
+    _check_res(res)
+    if lats.size == 0 or among.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+    _, q0, r0 = cells_to_axial_vec(latlng_to_cell_vec(lats, lngs, res))
+    size = edge_length_m(res)
+    # _disk_k, vectorized; a span within float noise of an integer takes
+    # the scalar ceil so the disk is the scalar disk.
+    dlmb = np.radians((lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0)
+    shear = np.sqrt(1.0 + (dlmb * np.sin(np.radians(lats))) ** 2)
+    span = shear * radii / (_SQRT3 * size)
+    k = np.ceil(span).astype(np.int64) + 1
+    tie = np.abs(span - np.round(span)) <= 1e-9 * np.maximum(span, 1.0)
+    for i in np.flatnonzero(tie):
+        k[i] = _disk_k(float(lats[i]), float(lngs[i]), float(radii[i]), res)
+    _, among_q, among_r = cells_to_axial_vec(among)
+    among_lat, among_lng = _axial_to_latlng_vec(among_q, among_r, size)
+
+    points, found = [], []
+    for disk in np.unique(k).tolist():
+        members = np.flatnonzero(k == disk)
+        # Column dq of the disk spans dr in [dr_lo, dr_hi] (as grid_disk).
+        dq = np.arange(-disk, disk + 1)
+        dr_lo = np.maximum(-disk, -dq - disk)
+        dr_hi = np.minimum(disk, -dq + disk)
+        step = max(1, _RADIUS_BLOCK // (3 * disk * (disk + 1) + 1))
+        for lo in range(0, members.size, step):
+            pts = members[lo : lo + step]
+            q = q0[pts, None] + dq
+            first = np.searchsorted(among, _pack_vec(res, q, r0[pts, None] + dr_lo))
+            last = np.searchsorted(
+                among, _pack_vec(res, q, r0[pts, None] + dr_hi), side="right"
+            )
+            count = (last - first).ravel()
+            point = np.repeat(np.repeat(pts, dq.size), count)
+            idx = expand_ranges(first.ravel(), count)
+            dist = haversine_m_vec(
+                lats[point], lngs[point], among_lat[idx], among_lng[idx]
+            )
+            radius = radii[point]
+            inside = dist <= radius
+            near = np.abs(dist - radius) <= _RADIUS_RECHECK_REL * radius
+            for j in np.flatnonzero(near):
+                p = point[j]
+                clat, clng = cell_to_latlng(int(among[idx[j]]))
+                inside[j] = haversine_m(
+                    float(lats[p]), float(lngs[p]), clat, clng
+                ) <= float(radii[p])
+            points.append(point[inside])
+            found.append(idx[inside])
+    return np.concatenate(points), among[np.concatenate(found)]
 
 
 def cell_boundary(cell: int) -> list[tuple[float, float]]:

@@ -33,7 +33,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ColumnIndex", "MultiColumnIndex"]
+__all__ = ["ColumnIndex", "MultiColumnIndex", "expand_ranges"]
+
+
+def expand_ranges(starts, counts) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` over paired arrays.
+
+    >>> expand_ranges(np.array([5, 0]), np.array([2, 3])).tolist()
+    [5, 6, 0, 1, 2]
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 def _as_key_column(values) -> np.ndarray:

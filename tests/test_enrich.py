@@ -5,9 +5,9 @@ Three layers under one roof, mirroring the subsystem's data path:
 * **Semantics** — Hypothesis properties over ``overstatement_ratios``
   (NaN = no evidence, 0.0 = genuine understatement, never a silent
   sentinel) and finiteness of the feature block they feed.
-* **Truth map** — aggregation agrees with the MLab localization it
-  mirrors, and the persisted bundle round-trips bitwise (NaN included)
-  through the mmap load path.
+* **Truth map** — aggregation agrees with the MLab localization whose
+  attribution pass it reads, and the persisted bundle round-trips
+  bitwise (NaN included) through the mmap load path.
 * **Enriched vectorize / priority** — the enriched builder appends the
   block behind a feature-set version bump without perturbing a single
   base byte, and the audit-priority table pages every rank exactly once

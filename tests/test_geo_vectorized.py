@@ -69,3 +69,54 @@ def test_grid_distance_vec_matches_scalar():
 def test_vectorized_handles_length_one_arrays():
     out = hg.latlng_to_cell_vec(np.array([40.0]), np.array([-100.0]), 8)
     assert int(out[0]) == hg.latlng_to_cell(40.0, -100.0, 8)
+
+
+def test_cell_to_latlng_vec_matches_scalar_near_poles():
+    """Rows past a pole clamp their latitude; the vectorized centroid
+    follows the scalar one there too."""
+    r_pole = round(hg.EARTH_RADIUS_M * np.pi / 2 / (1.5 * hg.edge_length_m(8)))
+    cells = [
+        hg.pack_cell(8, q, r)
+        for q, r in ((0, 0), (5, -3), (7, r_pole), (-7, -r_pole), (3, r_pole + 1))
+    ]
+    la, lo = hg.cell_to_latlng_vec(np.array(cells, dtype=np.uint64))
+    assert list(zip(la.tolist(), lo.tolist())) == [hg.cell_to_latlng(c) for c in cells]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_cells_within_radius_vec_matches_scalar(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    lats = rng.uniform(-80, 80, n)
+    lngs = rng.uniform(-180, 180, n)
+    radii = rng.choice([1.0, 300.0, 2500.0, 9000.0], n) * rng.uniform(0.5, 1.0, n)
+    scalar = [
+        set(hg.cells_within_radius(float(a), float(b), float(c), 8))
+        for a, b, c in zip(lats, lngs, radii)
+    ]
+    # Some scalar hits, some cells outside every disk.
+    pool = sorted(set().union(*scalar))
+    among = set(rng.choice(pool, len(pool) // 2).tolist()) if pool else set()
+    among |= set(hg.grid_disk(hg.latlng_to_cell(0.0, 0.0, 8), 2))
+    among = np.array(sorted(among), dtype=np.uint64)
+    point, cells = hg.cells_within_radius_vec(lats, lngs, radii, 8, among)
+    got = [set() for _ in range(n)]
+    for p, c in zip(point.tolist(), cells.tolist()):
+        got[p].add(c)
+    kept = set(among.tolist())
+    assert got == [s & kept for s in scalar]
+    assert len(point) == sum(len(g) for g in got)
+
+
+def test_cells_within_radius_vec_empty_inputs():
+    cell = hg.latlng_to_cell(40.0, -100.0, 8)
+    for lats, among in (([], [cell]), ([40.0], [])):
+        lngs = [-100.0] * len(lats)
+        radii = [500.0] * len(lats)
+        point, cells = hg.cells_within_radius_vec(
+            np.array(lats), np.array(lngs), np.array(radii), 8,
+            np.array(among, dtype=np.uint64),
+        )
+        assert point.dtype == np.int64 and cells.dtype == np.uint64
+        assert point.size == 0 and cells.size == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.indexing import ColumnIndex, MultiColumnIndex
+from repro.utils.indexing import ColumnIndex, MultiColumnIndex, expand_ranges
 
 
 # -- ColumnIndex ---------------------------------------------------------------
@@ -120,3 +120,11 @@ def test_multi_column_index_matches_dict(data):
     ]
     out = index.positions(*qcols)
     assert out.tolist() == [reference.get(q, -1) for q in queries]
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=20))
+def test_expand_ranges_concatenates_aranges(ranges):
+    starts = np.array([s for s, _ in ranges], dtype=np.int64)
+    counts = np.array([c for _, c in ranges], dtype=np.int64)
+    expected = [v for s, c in ranges for v in range(s, s + c)]
+    assert expand_ranges(starts, counts).tolist() == expected
