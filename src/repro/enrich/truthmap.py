@@ -16,17 +16,14 @@ missing measurement mean opposite things to an overstatement ratio).
 
 The result is a frozen struct-of-arrays table in sorted
 (provider, cell) order with a lazy two-column composite index, persisted
-the same way the national shard store persists claims: raw
-``.npy`` files — one per column — under a manifest written last, so a
+as a :mod:`repro.utils.persist` bundle like every other artifact: raw
+``.npy`` files — one per column — under a manifest committed last, so a
 saved bundle loads read-only and zero-copy via
 ``numpy.load(mmap_mode="r")`` alongside the ``repro.store`` shards.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +39,14 @@ from repro.obs.metrics import get_metrics
 from repro.speedtests.aggregate import _P90
 from repro.speedtests.mlab import MLabTest
 from repro.utils.indexing import MultiColumnIndex
+from repro.utils.persist import read_bundle, write_bundle
 
-__all__ = ["TruthMap", "build_truth_map", "TRUTHMAP_MANIFEST_NAME"]
+__all__ = ["TruthMap", "build_truth_map"]
 
-TRUTHMAP_MANIFEST_NAME = "manifest.json"
+_KIND = "truth-map"
 
 #: Manifest major version; bump on layout changes.
-_SCHEMA = 1
+_SCHEMA = 2
 
 _INDEX_PREFIX = "index__"
 
@@ -62,14 +60,6 @@ _COLUMNS = (
     ("p90_up", np.float64),
     ("n_tests", np.int64),
 )
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -138,44 +128,17 @@ class TruthMap:
     # -- persistence ---------------------------------------------------------
 
     def save(self, root: str) -> str:
-        """Write the bundle under ``root`` (manifest committed last).
+        """Write the bundle under ``root`` (crash-safe commit).
 
-        One raw ``.npy`` per column plus the persisted composite index,
-        each content-hashed in the manifest; ``os.replace`` of the
-        manifest is the commit point, so an interrupted save never
-        invalidates a previously committed bundle.
+        One raw ``.npy`` per column plus the persisted composite index
+        in a fresh :func:`~repro.utils.persist.write_bundle` generation,
+        so an interrupted save never invalidates a previously committed
+        bundle.
         """
-        os.makedirs(os.path.join(root, "arrays"), exist_ok=True)
         arrays = dict(self.export_arrays())
         for key, arr in self.index.export_state().items():
             arrays[f"{_INDEX_PREFIX}{key}"] = arr
-        files = {}
-        for key, arr in arrays.items():
-            rel = os.path.join("arrays", f"{key}.npy")
-            target = os.path.join(root, rel)
-            np.save(target, np.ascontiguousarray(arr))
-            files[key] = {
-                "path": rel.replace(os.sep, "/"),
-                "sha256": _sha256_file(target),
-                "dtype": str(np.asarray(arr).dtype),
-            }
-        manifest = {
-            "schema": _SCHEMA,
-            "kind": "truth-map",
-            "n_rows": len(self),
-            "columns": {
-                name: str(np.dtype(dtype)) for name, dtype in _COLUMNS
-            },
-            "files": files,
-        }
-        tmp = os.path.join(root, TRUTHMAP_MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, os.path.join(root, TRUTHMAP_MANIFEST_NAME))
-        return root
+        return write_bundle(root, _KIND, _SCHEMA, arrays, {"n_rows": len(self)})
 
     @classmethod
     def load(cls, root: str, mmap: bool = True) -> "TruthMap":
@@ -184,33 +147,12 @@ class TruthMap:
         The persisted composite index loads the same way, so lookups on
         a national-scale map touch only the pages a query needs.
         """
-        manifest_path = os.path.join(root, TRUTHMAP_MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise FileNotFoundError(f"no truth-map manifest at {manifest_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "truth-map":
-            raise ValueError(
-                f"artifact kind {manifest.get('kind')!r} is not a truth map"
-            )
-        mode = "r" if mmap else None
-        arrays: dict[str, np.ndarray] = {}
-        index_state: dict[str, np.ndarray] = {}
-        for key, meta in manifest["files"].items():
-            arr = np.load(
-                os.path.join(root, meta["path"]),
-                mmap_mode=mode,
-                allow_pickle=False,
-            )
-            if str(arr.dtype) != meta["dtype"]:
-                raise ValueError(
-                    f"truth-map file {key!r} has dtype {arr.dtype}, "
-                    f"manifest says {meta['dtype']}"
-                )
-            if key.startswith(_INDEX_PREFIX):
-                index_state[key[len(_INDEX_PREFIX):]] = arr
-            else:
-                arrays[key] = arr
+        manifest, arrays = read_bundle(root, _KIND, _SCHEMA, mmap=mmap)
+        index_state = {
+            key[len(_INDEX_PREFIX):]: arrays.pop(key)
+            for key in list(arrays)
+            if key.startswith(_INDEX_PREFIX)
+        }
         missing = {name for name, _ in _COLUMNS} - set(arrays)
         if missing:
             raise ValueError(f"truth map is missing columns {sorted(missing)}")

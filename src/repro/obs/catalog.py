@@ -118,7 +118,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     ),
     "shard_build_seconds": (
         "histogram",
-        "Per-shard build stage timings, by stage (split | write | load).",
+        "Sharded-store stage timings (split per shard; write, load per bundle).",
     ),
     # -- serve/workers.py (parent process of the pre-fork pool) ----------
     "pool_workers": (

@@ -9,9 +9,9 @@ tools, and the ROADMAP's heavy-traffic north star:
 =======================  ====================================================
 Module                   Role
 =======================  ====================================================
-:mod:`~repro.serve.artifacts`  versioned on-disk model bundle (npz arrays +
-                               JSON manifest, no pickle) with bitwise-exact
-                               round-trips
+:mod:`~repro.serve.artifacts`  versioned on-disk model and service bundles
+                               (raw ``.npy`` arrays + JSON manifest, no
+                               pickle) with bitwise-exact round-trips
 :mod:`~repro.serve.store`      :class:`ClaimScoreStore` — every distinct
                                claim scored once through the binned path;
                                frozen score/percentile/top-k arrays plus

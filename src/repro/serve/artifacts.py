@@ -1,22 +1,21 @@
-"""Versioned on-disk model artifacts (npz arrays + JSON manifest).
+"""Versioned on-disk model artifacts (a :mod:`repro.utils.persist` bundle).
 
 A fitted :class:`~repro.ml.gbdt.GradientBoostedClassifier` is a handful of
 NumPy arrays plus a few scalars; this module persists exactly those — no
-pickle anywhere, so bundles are safe to load from untrusted storage and
-stable across Python versions.  A bundle directory holds:
+pickle anywhere, and manifest paths are confined to the bundle, so
+bundles are safe to load from untrusted storage and stable across Python
+versions.  The bundle's manifest carries
+:class:`~repro.ml.gbdt.GBDTParams` fields, feature names, and the
+feature builder's encoder manifest (embedder spec + one-hot category
+orders); its arrays are the flat-ensemble node arrays
+(``ensemble/*``, :meth:`FlatEnsemble.export_arrays`), the histogram
+binner's packed cut lists (``binner/*``,
+:meth:`HistogramBinner.export_state`), the base margin
+(``scalar/base_margin``), and the builder's cached provider embeddings /
+cell centroids (``encoder/*``).
 
-``manifest.json``
-    schema version, artifact kind, :class:`~repro.ml.gbdt.GBDTParams`
-    fields, feature names, and the feature builder's encoder manifest
-    (embedder spec + one-hot category orders).
-``arrays.npz``
-    the flat-ensemble node arrays (:meth:`FlatEnsemble.export_arrays`),
-    the histogram binner's packed cut lists
-    (:meth:`HistogramBinner.export_state`), the base margin, and the
-    builder's cached provider embeddings / cell centroids.
-
-Round-trips are **bitwise exact**: float64 arrays pass through the npz
-binary format untouched, JSON floats round-trip via ``repr``, and the
+Round-trips are **bitwise exact**: float64 arrays pass through the raw
+``.npy`` format untouched, JSON floats round-trip via ``repr``, and the
 reloaded classifier's float and binned margins — and its TreeSHAP
 attributions — are identical to the live model's (asserted by the test
 suite).
@@ -24,28 +23,30 @@ suite).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.ml.gbdt import GBDTParams, GradientBoostedClassifier
 from repro.ml.tree import FlatEnsemble, HistogramBinner
+from repro.utils.persist import read_bundle, write_bundle
 
 __all__ = [
     "ARTIFACT_SCHEMA",
     "ModelArtifacts",
     "load_model_artifacts",
+    "load_service_bundle",
     "save_model_artifacts",
+    "save_service_bundle",
 ]
 
 #: Bump when the bundle layout changes incompatibly.
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
 _KIND = "nbm-integrity-model"
-MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
+
+_SERVICE_KIND = "audit-service"
+_SERVICE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,12 @@ class ModelArtifacts:
         return self.classifier.predict_proba(X, binned=binned)
 
 
-def save_model_artifacts(
-    path: str,
+def model_bundle(
     classifier: GradientBoostedClassifier,
     feature_names: list[str] | tuple[str, ...] | None = None,
     builder=None,
-) -> str:
-    """Write a fitted classifier (and optional builder state) to ``path``.
-
-    ``path`` is a bundle *directory* (created if absent).  ``builder``,
-    when given a :class:`~repro.features.vectorize.FeatureBuilder`,
-    contributes its encoder manifest and embedding/centroid caches so a
-    compatible builder can be re-warmed on load.  Returns ``path``.
-    """
+) -> tuple[dict[str, np.ndarray], dict]:
+    """A fitted classifier's ``(arrays, meta)`` bundle payload."""
     if not classifier.is_fitted:
         raise RuntimeError("cannot save an unfitted classifier; call fit() first")
     ensemble = classifier.flat_ensemble
@@ -105,66 +99,47 @@ def save_model_artifacts(
         if feature_names is None:
             feature_names = builder.feature_names
 
-    manifest = {
-        "schema": ARTIFACT_SCHEMA,
-        "kind": _KIND,
+    meta = {
         "params": asdict(classifier.params),
         "n_features": classifier.n_features,
         "n_trees": ensemble.n_trees,
         "n_nodes": ensemble.n_nodes,
         "feature_names": list(feature_names) if feature_names is not None else None,
         "encoders": encoders,
-        "arrays": ARRAYS_NAME,
     }
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, ARRAYS_NAME), "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return arrays, meta
 
 
-def _read_manifest(path: str) -> dict:
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no artifact manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != _KIND:
-        raise ValueError(
-            f"artifact kind {manifest.get('kind')!r} is not {_KIND!r}"
-        )
-    if manifest.get("schema") != ARTIFACT_SCHEMA:
-        raise ValueError(
-            f"artifact schema {manifest.get('schema')!r} is not supported "
-            f"(expected {ARTIFACT_SCHEMA})"
-        )
-    return manifest
+def save_model_artifacts(
+    path: str,
+    classifier: GradientBoostedClassifier,
+    feature_names: list[str] | tuple[str, ...] | None = None,
+    builder=None,
+) -> str:
+    """Write a fitted classifier (and optional builder state) to ``path``.
 
-
-def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
-    """Reconstruct a classifier from a bundle written by
-    :func:`save_model_artifacts`.
-
-    ``builder``, when given, has its embedding/centroid caches re-warmed
-    from the bundle's encoder state (after validating that its embedder
-    spec and category orders match — mismatches raise rather than
-    silently changing feature columns).  Arrays load with
-    ``allow_pickle=False``; a bundle can never execute code.
+    ``path`` is a bundle *directory* (created if absent).  ``builder``,
+    when given a :class:`~repro.features.vectorize.FeatureBuilder`,
+    contributes its encoder manifest and embedding/centroid caches so a
+    compatible builder can be re-warmed on load.  Returns ``path``.
     """
-    manifest = _read_manifest(path)
-    arrays_path = os.path.join(path, manifest.get("arrays", ARRAYS_NAME))
-    with np.load(arrays_path, allow_pickle=False) as payload:
-        groups: dict[str, dict[str, np.ndarray]] = {}
-        for key in payload.files:
-            group, _, name = key.partition("/")
-            groups.setdefault(group, {})[name] = payload[key]
+    arrays, meta = model_bundle(classifier, feature_names, builder)
+    return write_bundle(path, _KIND, ARTIFACT_SCHEMA, arrays, meta)
+
+
+def model_from_bundle(
+    meta: dict, arrays: dict[str, np.ndarray], builder=None
+) -> ModelArtifacts:
+    """Rebuild :class:`ModelArtifacts` from a :func:`model_bundle` payload."""
+    groups: dict[str, dict[str, np.ndarray]] = {}
+    for key, arr in arrays.items():
+        group, _, name = key.partition("/")
+        groups.setdefault(group, {})[name] = np.array(arr)
 
     binner = HistogramBinner.from_state(groups.get("binner", {}))
     ensemble = FlatEnsemble.from_arrays(groups.get("ensemble", {}))
-    params = GBDTParams(**manifest["params"])
-    n_features = int(manifest["n_features"])
+    params = GBDTParams(**meta["params"])
+    n_features = int(meta["n_features"])
     if len(binner.split_values_) != n_features:
         raise ValueError(
             f"binner covers {len(binner.split_values_)} features, "
@@ -178,13 +153,63 @@ def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
         n_features=n_features,
         flat=ensemble,
     )
-    encoders = manifest.get("encoders")
+    encoders = meta.get("encoders")
     if builder is not None and encoders is not None:
         builder.restore_encoder_state(encoders, groups.get("encoder", {}))
-    names = manifest.get("feature_names")
+    names = meta.get("feature_names")
     return ModelArtifacts(
         classifier=classifier,
         params=params,
         feature_names=tuple(names) if names is not None else (),
         encoders=encoders,
     )
+
+
+def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
+    """Reconstruct a classifier from a bundle written by
+    :func:`save_model_artifacts`.
+
+    ``builder``, when given, has its embedding/centroid caches re-warmed
+    from the bundle's encoder state (after validating that its embedder
+    spec and category orders match — mismatches raise rather than
+    silently changing feature columns).  Arrays load with
+    ``allow_pickle=False``; a bundle can never execute code.
+    """
+    manifest, arrays = read_bundle(path, _KIND, ARTIFACT_SCHEMA, mmap=False)
+    return model_from_bundle(manifest, arrays, builder)
+
+
+def save_service_bundle(
+    path: str, classifier, store, feature_names=None, builder=None
+) -> str:
+    """Write a (model, score store) pair as *one* bundle.
+
+    The model's arrays go under ``model/`` and the single-shard store's
+    under ``store/`` of the same generation, with their manifests under
+    the ``model`` / ``store`` keys: one commit, so a killed save can
+    never pair a new model with an old store.
+    """
+    model_arrays, model_meta = model_bundle(classifier, feature_names, builder)
+    sharded, extras = store.to_sharded(shards=1)
+    store_arrays, store_meta = sharded.bundle(**extras)
+    arrays = {f"model/{key}": arr for key, arr in model_arrays.items()}
+    arrays.update({f"store/{key}": arr for key, arr in store_arrays.items()})
+    meta = {"model": model_meta, "store": store_meta}
+    return write_bundle(path, _SERVICE_KIND, _SERVICE_SCHEMA, arrays, meta)
+
+
+def load_service_bundle(path: str, builder=None):
+    """``(ModelArtifacts, ClaimScoreStore)`` from a
+    :func:`save_service_bundle` directory; the store serves zero-copy
+    off the mapped files."""
+    from repro.serve.store import ClaimScoreStore
+    from repro.store.sharded import ShardedClaimColumns
+
+    manifest, arrays = read_bundle(path, _SERVICE_KIND, _SERVICE_SCHEMA)
+    parts: dict[str, dict[str, np.ndarray]] = {"model": {}, "store": {}}
+    for key, arr in arrays.items():
+        head, _, rest = key.partition("/")
+        parts.setdefault(head, {})[rest] = arr
+    artifacts = model_from_bundle(manifest["model"], parts["model"], builder)
+    sharded = ShardedClaimColumns.from_bundle(manifest["store"], parts["store"])
+    return artifacts, ClaimScoreStore.from_sharded(sharded, path)

@@ -510,18 +510,18 @@ class ModelRegistry:
         builder=None,
         default: bool | None = None,
     ) -> ModelVersion:
-        """Register a version from an artifact bundle directory.
+        """Register a version from a bundle written by
+        :meth:`AuditService.save`.
 
-        The bundle must contain both the model artifacts and the saved
-        score store.  ``builder``, when given a compatible live
+        The single-shard score store serves zero-copy off the mapped
+        files.  ``builder``, when given a compatible live
         :class:`FeatureBuilder`, is re-warmed from the bundle's encoder
         state and enables cold-path scoring for this version.
         """
-        from repro.serve.artifacts import load_model_artifacts
+        from repro.serve.artifacts import load_service_bundle
 
         with self.maintenance(f"loading model version {name!r}"):
-            artifacts = load_model_artifacts(path, builder=builder)
-            store = ClaimScoreStore.load(path)
+            artifacts, store = load_service_bundle(path, builder=builder)
             return self.add(
                 name,
                 store,

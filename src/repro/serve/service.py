@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fcc.states import STATES
-from repro.serve.artifacts import save_model_artifacts
+from repro.serve.artifacts import save_service_bundle
 from repro.serve.registry import ModelRegistry, ModelVersion, state_index
 from repro.serve.store import ClaimScoreStore
 
@@ -161,21 +161,20 @@ class AuditService:
         return cls(registry=registry, **kwargs)
 
     def save(self, path: str, feature_names=None) -> str:
-        """Persist the default version (model artifacts + score store)
-        into one bundle directory."""
+        """Persist the default version (model artifacts + single-shard
+        score store) as one crash-safe bundle directory."""
         version = self.registry.default
         if version.classifier is None:
             raise RuntimeError("service has no classifier to save")
         if feature_names is None and version.builder is not None:
             feature_names = version.builder.feature_names
-        save_model_artifacts(
+        return save_service_bundle(
             path,
             version.classifier,
+            version.store,
             feature_names=feature_names,
             builder=version.builder,
         )
-        version.store.save(path)
-        return path
 
     # -- version management --------------------------------------------------
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import numpy as np
 
@@ -52,9 +51,6 @@ __all__ = ["ClaimScoreStore", "score_claim_blocks"]
 _LOOKUPS = get_metrics().counter("store_lookups_total")
 _LOOKUP_HITS = get_metrics().counter("store_lookup_hits_total")
 _BUILD_SECONDS = get_metrics().histogram("store_build_seconds")
-
-STORE_MANIFEST_NAME = "store.json"
-STORE_ARRAYS_NAME = "store.npz"
 
 #: Rows scored per vectorize-and-traverse block while building the store.
 _BUILD_BLOCK_ROWS = 32_768
@@ -467,81 +463,9 @@ class ClaimScoreStore:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path: str) -> str:
-        """Write the store (claim columns + margins) into a bundle directory.
-
-        Derived arrays (score, percentile, orderings) are deterministic
-        from the margins, so only the margins are persisted; :meth:`load`
-        recomputes the rest bit-identically.
-        """
-        os.makedirs(path, exist_ok=True)
-        arrays = {
-            f"claims/{name}": arr
-            for name, arr in self.claims.export_arrays().items()
-        }
-        arrays["margin"] = self.margin
-        with open(os.path.join(path, STORE_ARRAYS_NAME), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        manifest = {
-            "schema": 1,
-            "kind": "claim-score-store",
-            "n_claims": len(self),
-            "arrays": STORE_ARRAYS_NAME,
-        }
-        with open(
-            os.path.join(path, STORE_MANIFEST_NAME), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "ClaimScoreStore":
-        """Rebuild a store from a bundle directory written by :meth:`save`."""
-        with get_metrics().histogram("store_load_seconds", mode="eager").time():
-            return cls._load_eager(path)
-
-    @classmethod
-    def _load_eager(cls, path: str) -> "ClaimScoreStore":
-        manifest_path = os.path.join(path, STORE_MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise FileNotFoundError(f"no score-store manifest at {manifest_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "claim-score-store":
-            raise ValueError(
-                f"artifact kind {manifest.get('kind')!r} is not a score store"
-            )
-        arrays_path = os.path.join(path, manifest.get("arrays", STORE_ARRAYS_NAME))
-        with np.load(arrays_path, allow_pickle=False) as payload:
-            claim_arrays = {}
-            margin = None
-            for key in payload.files:
-                group, _, name = key.partition("/")
-                if group == "claims":
-                    claim_arrays[name] = payload[key]
-                elif key == "margin":
-                    margin = payload[key]
-        if margin is None:
-            raise ValueError(f"{arrays_path} is missing the margin array")
-        return cls(ClaimColumns.from_arrays(claim_arrays), margin)
-
-    def save_sharded(
-        self, path: str, shards=None, include_derived: bool = True
-    ) -> str:
-        """Write the store as a per-state sharded bundle (raw-mmap files).
-
-        The claim columns shard through
-        :class:`repro.store.sharded.ShardedClaimColumns` (``shards``
-        picks the layout) and each shard carries its slice of the margin
-        array.  A *single-shard* bundle additionally persists the
-        derived arrays (score, orderings, percentiles) so
-        :meth:`load_sharded` can serve them straight off the mapped
-        pages — the pre-fork worker pool shares one page-cache copy
-        instead of recomputing per process.  Multi-shard bundles skip
-        them (the orderings are global, not per-shard) and recompute on
-        load; ``include_derived=False`` forces the lean layout.
-        """
+    def to_sharded(self, shards=None, include_derived: bool = True):
+        """``(sharded claims, extras)``: ``sharded.save(path, **extras)``
+        is :meth:`save_sharded`, ``sharded.bundle(**extras)`` its payload."""
         from repro.store.sharded import ShardedClaimColumns
 
         sharded = ShardedClaimColumns.from_claims(self.claims, shards=shards)
@@ -566,11 +490,29 @@ class ClaimScoreStore:
                         "percentile": self.percentile,
                     }
                 )
-        return sharded.save(
-            path,
-            extra_shard_arrays=extra_shard_arrays,
-            extra_manifest={"store": {"kind": "claim-score-store"}},
-        )
+        return sharded, {
+            "extra_shard_arrays": extra_shard_arrays,
+            "extra_manifest": {"store": {"kind": "claim-score-store"}},
+        }
+
+    def save_sharded(
+        self, path: str, shards=None, include_derived: bool = True
+    ) -> str:
+        """Write the store as a per-state sharded bundle (raw-mmap files).
+
+        The claim columns shard through
+        :class:`repro.store.sharded.ShardedClaimColumns` (``shards``
+        picks the layout) and each shard carries its slice of the margin
+        array.  A *single-shard* bundle additionally persists the
+        derived arrays (score, orderings, percentiles) so
+        :meth:`load_sharded` can serve them straight off the mapped
+        pages — the pre-fork worker pool shares one page-cache copy
+        instead of recomputing per process.  Multi-shard bundles skip
+        them (the orderings are global, not per-shard) and recompute on
+        load; ``include_derived=False`` forces the lean layout.
+        """
+        sharded, extras = self.to_sharded(shards, include_derived)
+        return sharded.save(path, **extras)
 
     @classmethod
     def load_sharded(cls, path: str, mmap: bool = True) -> "ClaimScoreStore":
@@ -585,13 +527,14 @@ class ClaimScoreStore:
 
         mode = "mmap" if mmap else "eager"
         with get_metrics().histogram("store_load_seconds", mode=mode).time():
-            return cls._load_sharded(path, mmap=mmap)
+            return cls.from_sharded(
+                ShardedClaimColumns.load(path, mmap=mmap), path
+            )
 
     @classmethod
-    def _load_sharded(cls, path: str, mmap: bool) -> "ClaimScoreStore":
-        from repro.store.sharded import ShardedClaimColumns
-
-        sharded = ShardedClaimColumns.load(path, mmap=mmap)
+    def from_sharded(cls, sharded, path: str) -> "ClaimScoreStore":
+        """The store a :meth:`sharded_bundle` payload describes; ``path``
+        names the bundle in errors."""
         missing = [
             name
             for name in sharded.shard_names

@@ -369,13 +369,18 @@ class WorkerPool:
                     return
 
     def _monitor(self) -> None:
-        """Watch process sentinels; respawn dead workers with backoff."""
+        """Watch process sentinels; respawn dead workers with backoff.
+
+        Every slot is watched, dead or alive: a dead process's sentinel
+        stays ready, so a worker that died while another slot was being
+        respawned is respawned on the next pass instead of dropping out.
+        """
         while not self._stop_event.is_set():
             with self._workers_lock:
                 sentinels = {
                     w.process.sentinel: w
                     for w in self._workers
-                    if w.process is not None and w.process.is_alive()
+                    if w.process is not None
                 }
             if not sentinels:
                 if self._stop_event.wait(0.05):
@@ -407,7 +412,16 @@ class WorkerPool:
         if self._stop_event.wait(delay):
             return
         self._spawn(worker)
-        worker.ready.wait(timeout=30.0)
+        # Wait for the ready handshake, but stop waiting when the
+        # replacement dies first: the monitor's next pass respawns it.
+        deadline = time.monotonic() + 30.0
+        while not worker.ready.wait(timeout=0.05):
+            if (
+                not worker.process.is_alive()
+                or self._stop_event.is_set()
+                or time.monotonic() > deadline
+            ):
+                break
         self._workers_g.set(self._live_count())
 
     def _live_count(self) -> int:

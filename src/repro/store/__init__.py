@@ -6,8 +6,8 @@ Module                          Responsibility
 ==============================  ==============================================
 :mod:`repro.store.sharded`      :class:`ShardedClaimColumns` — per-state
                                 shards of the claim columns, persisted as
-                                raw-mmap ``.npy`` files under a hashed,
-                                crash-safe manifest
+                                one raw-mmap :mod:`repro.utils.persist`
+                                bundle
 :mod:`repro.store.ingest`       streaming BDC-CSV ingestion with validation,
                                 a rejected-rows sidecar, and exact
                                 round-tripping

@@ -4,7 +4,7 @@ Shard-parallel store building (:mod:`repro.store.parallel`) runs scoring
 in separate processes that must not — and cannot cheaply — reconstruct
 the simulated world.  This module persists exactly the columnar tables
 :meth:`FeatureBuilder.vectorize_columns` consults, pickle-free
-(``manifest JSON + arrays.npz``), and rebuilds a *frozen* builder from
+(a :mod:`repro.utils.persist` bundle), and rebuilds a *frozen* builder from
 them:
 
 =====================  ======================================================
@@ -29,20 +29,20 @@ live builder's.
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 
 from repro.dataset.likely_served import MLabLocalization
 from repro.features.embedding import TextEmbedder
 from repro.features.vectorize import FeatureBuilder
 from repro.utils.indexing import ColumnIndex
+from repro.utils.persist import read_bundle, write_bundle
 
 __all__ = ["save_feature_tables", "load_feature_tables"]
 
-FEATURE_MANIFEST_NAME = "feature_tables.json"
-FEATURE_ARRAYS_NAME = "feature_tables.npz"
+_KIND = "feature-tables"
+
+#: Manifest major version; bump on layout changes.
+_SCHEMA = 2
 
 
 class _FrozenFabric:
@@ -136,21 +136,9 @@ def save_feature_tables(path: str, builder: FeatureBuilder) -> str:
     arrays.update(
         {f"encoder/{key}": arr for key, arr in encoder_arrays.items()}
     )
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, FEATURE_ARRAYS_NAME), "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    manifest = {
-        "schema": 1,
-        "kind": "feature-tables",
-        "arrays": FEATURE_ARRAYS_NAME,
-        "encoders": encoder_manifest,
-    }
-    with open(
-        os.path.join(path, FEATURE_MANIFEST_NAME), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_bundle(
+        path, _KIND, _SCHEMA, arrays, {"encoders": encoder_manifest}
+    )
 
 
 def load_feature_tables(path: str, claims) -> FeatureBuilder:
@@ -160,19 +148,7 @@ def load_feature_tables(path: str, claims) -> FeatureBuilder:
     subset shard of it) the builder should vectorize against; its keys
     must fall inside the bundle's warmed caches.
     """
-    manifest_path = os.path.join(path, FEATURE_MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no feature-table manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "feature-tables":
-        raise ValueError(
-            f"artifact kind {manifest.get('kind')!r} is not a feature-table "
-            "bundle"
-        )
-    arrays_path = os.path.join(path, manifest.get("arrays", FEATURE_ARRAYS_NAME))
-    with np.load(arrays_path, allow_pickle=False) as payload:
-        arrays = {key: payload[key] for key in payload.files}
+    manifest, arrays = read_bundle(path, _KIND, _SCHEMA, mmap=False)
     encoder_arrays = {
         key.partition("/")[2]: arr
         for key, arr in arrays.items()

@@ -50,11 +50,8 @@ from repro.fcc.bdc import NBM_SPEED_FLOORS, ClaimColumns
 from repro.fcc.providers import TECHNOLOGY_CODES
 from repro.fcc.states import STATES
 from repro.obs.metrics import get_metrics
-from repro.store.sharded import (
-    ShardedClaimColumns,
-    _fsync_dir,
-    _resolve_state_map,
-)
+from repro.store.sharded import ShardedClaimColumns, _resolve_state_map
+from repro.utils.persist import fsync_dir
 
 __all__ = ["write_bdc_csv", "ingest_csv", "IngestResult", "BDC_CSV_FIELDS"]
 
@@ -424,7 +421,7 @@ def ingest_csv(
         os.makedirs(root, exist_ok=True)
         # fsync before the manifest commit references this file: the
         # manifest's durability protocol (fsync + rename in
-        # ``ShardedClaimColumns.save``) only helps if the sidecar it
+        # ``write_bundle``) only helps if the sidecar it
         # points at cannot itself be empty/torn after a crash.
         with open(
             os.path.join(root, rejected_rel), "w", encoding="utf-8", newline=""
@@ -432,7 +429,7 @@ def ingest_csv(
             fh.write(content)
             fh.flush()
             os.fsync(fh.fileno())
-        _fsync_dir(root)
+        fsync_dir(root)
     stats = {
         "rows_read": int(n_read),
         "rows_ingested": int(n_total),

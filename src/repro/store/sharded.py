@@ -9,23 +9,16 @@ parallel arrays into per-state (or grouped) shards that persist as raw
 store loads *read-only and zero-copy* via ``numpy.load(mmap_mode="r")``:
 no column is paged in until something touches it.
 
-Layout on disk (all paths relative to the bundle root)::
+Layout on disk: one :mod:`repro.utils.persist` bundle (crash-safe
+generation + manifest commit, sha256 per file) whose array keys are::
 
-    root/
-      manifest.json                  <- always the last file written
-      data-00000001/                 <- one generation per save()
-        shards/<name>/<column>.npy   <- the eight ClaimColumns columns
-        shards/<name>/global_rows.npy    monolithic row per shard row
-        shards/<name>/index__<key>.npy   persisted composite-key index
-        shards/<name>/<extra>.npy    <- caller payloads (e.g. margins)
+    shards/<name>/<column>          the eight ClaimColumns columns
+    shards/<name>/global_rows       monolithic row per shard row
+    shards/<name>/index__<key>      persisted composite-key index
+    shards/<name>/<extra>           caller payloads (e.g. margins)
 
-The manifest records the schema, per-column dtypes, per-shard row counts,
-the state->shard routing map, and a SHA-256 content hash per file;
-:meth:`ShardedClaimColumns.verify` re-hashes a bundle against it.  Saves
-are crash-safe by construction: a new save writes a fresh generation
-directory and only then atomically replaces ``manifest.json``
-(``os.replace``), so a killed writer leaves the previous manifest
-pointing at the previous — complete — generation.
+The manifest adds per-shard row counts and states and the state->shard
+routing map; ``verify_bundle`` re-hashes a saved bundle against it.
 
 Equivalence contract (property-tested): every shard preserves the
 monolithic lexicographic key order among its own rows and carries the
@@ -36,59 +29,31 @@ monolithic composite index on hits *and* misses.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import shutil
-
 import numpy as np
 
 from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
 from repro.obs.metrics import get_metrics
 from repro.utils.indexing import MultiColumnIndex
+from repro.utils.persist import MANIFEST_NAME, read_bundle, write_bundle
 
 
 def _stage_timer(stage: str):
-    """Per-shard build/IO stage timer in the process-wide registry."""
+    """Shard split (per shard) / bundle write and load stage timer."""
     return get_metrics().histogram("shard_build_seconds", stage=stage).time()
 
 __all__ = ["ShardedClaimColumns", "SHARD_MANIFEST_NAME"]
 
-SHARD_MANIFEST_NAME = "manifest.json"
+SHARD_MANIFEST_NAME = MANIFEST_NAME
+
+_KIND = "sharded-claim-columns"
 
 #: Manifest major version; bump on layout changes.
-_SCHEMA = 1
+_SCHEMA = 2
 
 _INDEX_PREFIX = "index__"
 
 _STATE_ABBRS = tuple(s.abbr for s in STATES)
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync a directory so renames/creates inside it are durable.
-
-    Platforms that cannot open a directory for fsync (Windows) get the
-    old best-effort behaviour instead of an error.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:  # pragma: no cover - non-POSIX fallback
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystems without dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _resolve_state_map(shards) -> dict[str, str]:
@@ -233,124 +198,59 @@ class ShardedClaimColumns:
 
     # -- persistence ---------------------------------------------------------
 
+    def bundle(
+        self,
+        extra_shard_arrays: dict[str, dict[str, np.ndarray]] | None = None,
+        extra_manifest: dict | None = None,
+    ) -> tuple[dict[str, np.ndarray], dict]:
+        """The ``(arrays, meta)`` payload :meth:`save` commits.
+
+        Array keys are ``shards/<name>/<column>``.  ``extra_shard_arrays``
+        adds caller payloads per shard (e.g. ``{"ca": {"margin": ...}}``);
+        ``extra_manifest`` merges extra top-level keys (e.g. ingestion
+        stats) into the manifest.
+        """
+        arrays: dict[str, np.ndarray] = {}
+        shard_entries = []
+        for name in self.shard_names:
+            shard = self._shards[name]
+            shard_arrays = dict(shard.export_arrays())
+            shard_arrays["global_rows"] = self._global_rows[name]
+            for key, arr in shard.index.export_state().items():
+                shard_arrays[f"{_INDEX_PREFIX}{key}"] = arr
+            for key, arr in (extra_shard_arrays or {}).get(name, {}).items():
+                if key in shard_arrays:
+                    raise ValueError(f"extra array {key!r} shadows a column")
+                shard_arrays[key] = arr
+            for key, arr in shard_arrays.items():
+                arrays[f"shards/{name}/{key}"] = arr
+            states = sorted(
+                a for a, s in self.state_to_shard.items() if s == name
+            )
+            shard_entries.append(
+                {"name": name, "n_rows": int(len(shard)), "states": states}
+            )
+        meta = {
+            "n_rows": self._n_rows,
+            "state_to_shard": dict(sorted(self.state_to_shard.items())),
+            "shards": shard_entries,
+        }
+        for key, value in (extra_manifest or {}).items():
+            if key in meta:
+                raise ValueError(f"extra manifest key {key!r} is reserved")
+            meta[key] = value
+        return arrays, meta
+
     def save(
         self,
         root: str,
         extra_shard_arrays: dict[str, dict[str, np.ndarray]] | None = None,
         extra_manifest: dict | None = None,
     ) -> str:
-        """Write the sharded bundle under ``root`` (crash-safe commit).
-
-        A fresh generation directory takes all the data files; the
-        manifest is atomically replaced last, so an interrupted save
-        never invalidates a previously committed bundle.
-        ``extra_shard_arrays`` adds caller payloads per shard (e.g.
-        ``{"ca": {"margin": ...}}``); ``extra_manifest`` merges extra
-        top-level keys (e.g. ingestion stats) into the manifest.
-        """
-        os.makedirs(root, exist_ok=True)
-        generation = self._next_generation(root)
-        data_dir = os.path.join(root, generation)
-        shard_entries = []
-        for name in self.shard_names:
-            shard = self._shards[name]
-            shard_dir = os.path.join(data_dir, "shards", name)
-            os.makedirs(shard_dir, exist_ok=True)
-            arrays = dict(shard.export_arrays())
-            arrays["global_rows"] = self._global_rows[name]
-            for key, arr in shard.index.export_state().items():
-                arrays[f"{_INDEX_PREFIX}{key}"] = arr
-            for key, arr in (extra_shard_arrays or {}).get(name, {}).items():
-                if key in arrays:
-                    raise ValueError(f"extra array {key!r} shadows a column")
-                arrays[key] = np.asarray(arr)
-            files = {}
-            with _stage_timer("write"):
-                for key, arr in arrays.items():
-                    rel = os.path.join(generation, "shards", name, f"{key}.npy")
-                    target = os.path.join(root, rel)
-                    np.save(target, np.ascontiguousarray(arr))
-                    files[key] = {
-                        "path": rel.replace(os.sep, "/"),
-                        "sha256": _sha256_file(target),
-                        "dtype": str(np.asarray(arr).dtype),
-                    }
-            states = sorted(
-                a for a, s in self.state_to_shard.items() if s == name
-            )
-            shard_entries.append(
-                {
-                    "name": name,
-                    "n_rows": int(len(shard)),
-                    "states": states,
-                    "files": files,
-                }
-            )
-        manifest = {
-            "schema": _SCHEMA,
-            "kind": "sharded-claim-columns",
-            "generation": generation,
-            "n_rows": self._n_rows,
-            "columns": {
-                name: str(np.dtype(dtype))
-                for name, dtype in ClaimColumns.EXPORT_FIELDS
-            },
-            "state_to_shard": dict(sorted(self.state_to_shard.items())),
-            "shards": shard_entries,
-        }
-        for key, value in (extra_manifest or {}).items():
-            if key in manifest:
-                raise ValueError(f"extra manifest key {key!r} is reserved")
-            manifest[key] = value
-        # Durable commit: the rename is the commit point, so the tmp
-        # file's *contents* must reach disk before it, and the directory
-        # entry after it — otherwise a crash can surface a committed but
-        # empty/torn manifest over intact data files.
-        tmp = os.path.join(root, SHARD_MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fsync_dir(root)
-        os.replace(tmp, os.path.join(root, SHARD_MANIFEST_NAME))
-        _fsync_dir(root)
-        self._collect_garbage(root, keep=generation)
-        return root
-
-    @staticmethod
-    def _next_generation(root: str) -> str:
-        ordinals = [0]
-        for entry in os.listdir(root):
-            if entry.startswith("data-"):
-                try:
-                    ordinals.append(int(entry[5:]))
-                except ValueError:
-                    continue
-        return f"data-{max(ordinals) + 1:08d}"
-
-    @staticmethod
-    def _collect_garbage(root: str, keep: str) -> None:
-        """Best-effort removal of superseded generation directories."""
-        for entry in os.listdir(root):
-            if entry.startswith("data-") and entry != keep:
-                shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
-
-    @staticmethod
-    def read_manifest(root: str) -> dict:
-        manifest_path = os.path.join(root, SHARD_MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise FileNotFoundError(
-                f"no sharded-store manifest at {manifest_path}"
-            )
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "sharded-claim-columns":
-            raise ValueError(
-                f"artifact kind {manifest.get('kind')!r} is not a sharded "
-                "claim store"
-            )
-        return manifest
+        """Commit :meth:`bundle` as one crash-safe bundle under ``root``."""
+        arrays, meta = self.bundle(extra_shard_arrays, extra_manifest)
+        with _stage_timer("write"):
+            return write_bundle(root, _KIND, _SCHEMA, arrays, meta)
 
     @classmethod
     def load(cls, root: str, mmap: bool = True) -> "ShardedClaimColumns":
@@ -360,42 +260,41 @@ class ShardedClaimColumns:
         until a lookup touches it, and persisted composite-key indexes
         load the same way (no re-factorization).
         """
-        manifest = cls.read_manifest(root)
-        mode = "r" if mmap else None
+        with _stage_timer("load"):
+            manifest, files = read_bundle(root, _KIND, _SCHEMA, mmap=mmap)
+        return cls.from_bundle(manifest, files)
+
+    @classmethod
+    def from_bundle(
+        cls, manifest: dict, files: dict[str, np.ndarray]
+    ) -> "ShardedClaimColumns":
+        """Rebuild the table from a :meth:`bundle` payload."""
         column_names = {name for name, _ in ClaimColumns.EXPORT_FIELDS}
+        per_shard: dict[str, dict[str, np.ndarray]] = {}
+        for key, arr in files.items():
+            head, _, col = key.rpartition("/")
+            per_shard.setdefault(head[len("shards/"):], {})[col] = arr
         shards: dict[str, ClaimColumns] = {}
         global_rows: dict[str, np.ndarray] = {}
         extra: dict[str, dict[str, np.ndarray]] = {}
         for entry in manifest["shards"]:
             name = entry["name"]
-            arrays: dict[str, np.ndarray] = {}
-            index_state: dict[str, np.ndarray] = {}
-            shard_extra: dict[str, np.ndarray] = {}
-            with _stage_timer("load"):
-                for key, meta in entry["files"].items():
-                    arr = np.load(
-                        os.path.join(root, meta["path"]),
-                        mmap_mode=mode,
-                        allow_pickle=False,
-                    )
-                    if str(arr.dtype) != meta["dtype"]:
-                        raise ValueError(
-                            f"shard {name!r} file {key!r} has dtype "
-                            f"{arr.dtype}, manifest says {meta['dtype']}"
-                        )
-                    if key.startswith(_INDEX_PREFIX):
-                        index_state[key[len(_INDEX_PREFIX):]] = arr
-                    else:
-                        arrays[key] = arr
+            arrays = per_shard.get(name, {})
             missing = (column_names | {"global_rows"}) - set(arrays)
             if missing:
                 raise ValueError(
                     f"shard {name!r} is missing columns {sorted(missing)}"
                 )
-            rows = arrays.pop("global_rows")
-            for key in list(arrays):
-                if key not in column_names:
-                    shard_extra[key] = arrays.pop(key)
+            index_state = {
+                key[len(_INDEX_PREFIX):]: arrays.pop(key)
+                for key in list(arrays)
+                if key.startswith(_INDEX_PREFIX)
+            }
+            global_rows[name] = arrays.pop("global_rows")
+            shard_extra = {
+                key: arrays.pop(key) for key in list(arrays)
+                if key not in column_names
+            }
             index = (
                 MultiColumnIndex.from_state(index_state)
                 if index_state
@@ -408,7 +307,6 @@ class ShardedClaimColumns:
                     f"manifest ({entry['n_rows']})"
                 )
             shards[name] = shard
-            global_rows[name] = rows
             if shard_extra:
                 extra[name] = shard_extra
         return cls(
@@ -418,29 +316,3 @@ class ShardedClaimColumns:
             manifest["n_rows"],
             extra_arrays=extra,
         )
-
-    @staticmethod
-    def verify(root: str) -> int:
-        """Re-hash every file in a bundle against the manifest.
-
-        Returns the number of files checked; raises ``ValueError`` on
-        the first content mismatch and ``FileNotFoundError`` for files
-        the manifest promises but the bundle lacks.
-        """
-        manifest = ShardedClaimColumns.read_manifest(root)
-        checked = 0
-        for entry in manifest["shards"]:
-            for key, meta in entry["files"].items():
-                path = os.path.join(root, meta["path"])
-                if not os.path.exists(path):
-                    raise FileNotFoundError(
-                        f"shard {entry['name']!r} is missing {meta['path']}"
-                    )
-                digest = _sha256_file(path)
-                if digest != meta["sha256"]:
-                    raise ValueError(
-                        f"content hash mismatch for {meta['path']}: "
-                        f"manifest {meta['sha256'][:12]}…, file {digest[:12]}…"
-                    )
-                checked += 1
-        return checked

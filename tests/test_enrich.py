@@ -156,7 +156,7 @@ def test_truthmap_load_rejects_foreign_and_missing(enrichment, tmp_path):
     manifest["kind"] = "claim-shards"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
-    with pytest.raises(ValueError, match="not a truth map"):
+    with pytest.raises(ValueError, match="is not 'truth-map'"):
         TruthMap.load(root)
 
 

@@ -12,12 +12,8 @@ from repro.core import NBMIntegrityModel
 from repro.ml.gbdt import GBDTParams, GradientBoostedClassifier
 from repro.ml.shap import shap_values
 from repro.ml.tree import FlatEnsemble, HistogramBinner
-from repro.serve.artifacts import (
-    ARRAYS_NAME,
-    MANIFEST_NAME,
-    load_model_artifacts,
-    save_model_artifacts,
-)
+from repro.serve.artifacts import load_model_artifacts, save_model_artifacts
+from repro.utils.persist import MANIFEST_NAME, read_bundle
 
 
 def _problem(n, d, seed=0, missing=0.1):
@@ -146,8 +142,8 @@ def test_bundle_contains_no_pickle(tmp_path):
     clf = GradientBoostedClassifier(GBDTParams(n_estimators=3)).fit(X, y)
     save_model_artifacts(str(tmp_path), clf)
     # allow_pickle=False is the loader's contract; loading must not need it.
-    with np.load(os.path.join(str(tmp_path), ARRAYS_NAME), allow_pickle=False) as z:
-        assert all(z[k].dtype != object for k in z.files)
+    _, arrays = read_bundle(str(tmp_path), "nbm-integrity-model", 2)
+    assert arrays and all(arr.dtype != object for arr in arrays.values())
     manifest = json.load(open(os.path.join(str(tmp_path), MANIFEST_NAME)))
     assert manifest["kind"] == "nbm-integrity-model"
     assert manifest["n_trees"] == 3

@@ -218,6 +218,56 @@ def test_pool_respawns_killed_worker_on_current_default(pool_bundles):
         assert doc["record"]["margin"] == float(store.margin[row])
 
 
+def test_pool_respawns_worker_killed_during_another_respawn(pool_bundles):
+    """Kill a second worker while the monitor is still respawning the
+    first: both slots must come back.  The monitor used to watch only
+    processes alive at its last snapshot, so a worker that died during
+    another slot's respawn dropped out of the watch set for good."""
+    with WorkerPool(pool_bundles["specs"], n_workers=2) as pool:
+        restarts = pool.metrics.counter("pool_worker_restarts_total")
+        first, second = pool.worker_pids()
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while restarts.value < 1 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        os.kill(second, signal.SIGKILL)  # the first slot is mid-respawn
+        while time.monotonic() < deadline:
+            pids = pool.ping()
+            if len(pids) == 2 and not {first, second} & set(pids):
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"live workers {pool.ping()} after killing both")
+        assert restarts.value == 2
+
+
+def test_pool_respawns_worker_killed_before_ready(pool_bundles):
+    """Kill a replacement before its ready handshake: the monitor must
+    notice the death and respawn the slot again, not sit out the whole
+    30 s ready timeout on a dead process."""
+    with WorkerPool(pool_bundles["specs"], n_workers=2) as pool:
+        restarts = pool.metrics.counter("pool_worker_restarts_total")
+        original = set(pool.worker_pids())
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        slot = pool._workers[0]
+        while time.monotonic() < deadline:
+            process = slot.process
+            if process is not None and process.pid not in original:
+                break
+            time.sleep(0.001)
+        assert not slot.ready.is_set(), "replacement was ready before the kill"
+        os.kill(process.pid, signal.SIGKILL)
+        while time.monotonic() < deadline:
+            pids = pool.ping()
+            if len(pids) == 2 and process.pid not in pids:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"slot not back within 10 s (live: {pool.ping()})")
+        assert restarts.value == 2
+
+
 def test_pool_inherited_socket_fallback(pool_bundles):
     """reuse_port=False exercises the parent-bound inherited-socket
     accept model end to end."""

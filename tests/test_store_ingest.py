@@ -32,8 +32,13 @@ from repro.store import (
     ingest_csv,
     write_bdc_csv,
 )
+from repro.utils.persist import read_bundle, verify_bundle
 
 HEADER = ",".join(BDC_CSV_FIELDS)
+
+
+def _manifest(root: str) -> dict:
+    return read_bundle(root, "sharded-claim-columns", 2)[0]
 
 
 def assert_claims_bitwise(a: ClaimColumns, b: ClaimColumns):
@@ -134,7 +139,7 @@ def test_malformed_rows_rejected_with_line_numbers(tmp_path):
     assert rejected_lines == [3, 4, 5, 6, 7, 8, 9, 10]
     assert all(line.startswith("inline.csv,") for line in lines[1:])
     # The surviving shard bundle is intact and holds exactly the good row.
-    ShardedClaimColumns.verify(root)
+    verify_bundle(root)
     back = result.load().to_claims()
     assert len(back) == 1 and int(back.cell[0]) == 0xAA
 
@@ -147,13 +152,13 @@ def test_rejects_never_corrupt_a_shard(tmp_path):
         [_csv("nope,XX,zz,99,0,a,b,c")], root, shards=3
     )
     assert result.n_ingested == 0 and result.n_rejected == 1
-    ShardedClaimColumns.verify(root)
+    verify_bundle(root)
     assert len(result.load()) == 0
     claims = make_random_claims(3, n=100)
     path = str(tmp_path / "good.csv")
     write_bdc_csv(claims, path)
     result2 = ingest_csv([path], root, shards=3)
-    ShardedClaimColumns.verify(root)
+    verify_bundle(root)
     assert_claims_bitwise(result2.load().to_claims(), claims)
     # The poison run's sidecar is garbage-collected with its generation.
     assert not [e for e in os.listdir(root) if e.startswith("rejected-")]
@@ -250,12 +255,12 @@ def test_killed_ingest_preserves_previous_generation(tmp_path):
     path = str(tmp_path / "good.csv")
     write_bdc_csv(claims, path)
     ingest_csv([path], root, shards=2)
-    manifest_before = ShardedClaimColumns.read_manifest(root)
+    manifest_before = _manifest(root)
     with pytest.raises(OSError):
         ingest_csv([_Dying(50)], root, shards=2)
     # Manifest still points at the complete previous generation...
-    assert ShardedClaimColumns.read_manifest(root) == manifest_before
-    ShardedClaimColumns.verify(root)
+    assert _manifest(root) == manifest_before
+    verify_bundle(root)
     # ...and it still loads bitwise.
     assert_claims_bitwise(
         ShardedClaimColumns.load(root).to_claims(), claims
@@ -271,7 +276,7 @@ def test_ingest_stats_recorded_in_manifest(tmp_path):
     write_bdc_csv(claims, path)
     src = _csv("7,CA,zzzz,50,3,100.0,20.0,1")
     result = ingest_csv([path, src], str(tmp_path / "root"), chunk_rows=16)
-    manifest = ShardedClaimColumns.read_manifest(result.root)
+    manifest = _manifest(result.root)
     stats = manifest["ingest"]
     assert stats["rows_read"] == len(claims) + 1
     assert stats["rows_ingested"] == len(claims)

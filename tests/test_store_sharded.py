@@ -16,6 +16,7 @@ Two tiers:
   serves the exact monolithic pagination walk.
 """
 
+import json
 import os
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundle_kinds import KINDS
 from conftest import make_random_claims, mmap_backed
 from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
@@ -35,6 +37,7 @@ from repro.store import (
     save_feature_tables,
 )
 from repro.utils.indexing import MultiColumnIndex
+from repro.utils.persist import read_bundle, verify_bundle
 
 N_STATES = len(STATES)
 
@@ -165,100 +168,108 @@ def test_from_state_rejects_malformed():
         )
 
 
-def test_verify_detects_corruption(tmp_path):
-    claims = make_random_claims(11, n=300)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=2).save(root)
-    n_checked = ShardedClaimColumns.verify(root)
-    assert n_checked > 0
-    # Flip one byte inside one column payload: verify must notice.
-    manifest = ShardedClaimColumns.read_manifest(root)
-    victim = os.path.join(
-        root, manifest["shards"][0]["files"]["provider_id"]["path"]
-    )
-    with open(victim, "r+b") as fh:
-        fh.seek(-1, os.SEEK_END)
-        byte = fh.read(1)
-        fh.seek(-1, os.SEEK_END)
-        fh.write(bytes([byte[0] ^ 0xFF]))
-    with pytest.raises(ValueError, match="hash"):
-        ShardedClaimColumns.verify(root)
+# -- every artifact kind: corruption, drift, GC, commit order ------------------
+#
+# These loop over ``bundle_kinds.KINDS`` (every writer in src/) inside one
+# test each rather than parametrizing, so the test ids stay stable.
 
 
-def test_verify_detects_missing_file(tmp_path):
-    claims = make_random_claims(12, n=200)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=1).save(root)
-    manifest = ShardedClaimColumns.read_manifest(root)
-    victim = os.path.join(root, manifest["shards"][0]["files"]["cell"]["path"])
-    os.unlink(victim)
-    with pytest.raises(FileNotFoundError):
-        ShardedClaimColumns.verify(root)
+def _victim_path(root, kind):
+    manifest = json.load(open(os.path.join(root, SHARD_MANIFEST_NAME)))
+    return os.path.join(root, manifest["files"][kind.victim]["path"])
 
 
-def test_load_rejects_dtype_drift(tmp_path):
-    claims = make_random_claims(13, n=200)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=1).save(root)
-    manifest = ShardedClaimColumns.read_manifest(root)
-    path = os.path.join(
-        root, manifest["shards"][0]["files"]["claimed_count"]["path"]
-    )
-    np.save(path, np.load(path).astype(np.int32))
-    with pytest.raises(ValueError, match="dtype"):
-        ShardedClaimColumns.load(root)
+def test_verify_detects_corruption(tmp_path, request):
+    for kind in KINDS:
+        root = str(tmp_path / kind.label)
+        kind.save(root, 0, request)
+        assert verify_bundle(root) > 0, kind
+        # Flip one byte inside one array payload: verify must notice.
+        with open(_victim_path(root, kind), "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(ValueError, match="hash"):
+            verify_bundle(root)
 
 
-def test_generations_are_garbage_collected(tmp_path):
-    claims = make_random_claims(14, n=150)
-    root = str(tmp_path / "bundle")
-    sharded = ShardedClaimColumns.from_claims(claims, shards=2)
-    sharded.save(root)
-    first_gen = ShardedClaimColumns.read_manifest(root)["generation"]
-    sharded.save(root)
-    second = ShardedClaimColumns.read_manifest(root)
-    assert second["generation"] != first_gen
-    gens = [d for d in os.listdir(root) if d.startswith("data-")]
-    assert gens == [second["generation"]]
-    # And the survivor still loads + verifies.
-    ShardedClaimColumns.verify(root)
-    assert_claims_bitwise(ShardedClaimColumns.load(root).to_claims(), claims)
+def test_verify_detects_missing_file(tmp_path, request):
+    for kind in KINDS:
+        root = str(tmp_path / kind.label)
+        kind.save(root, 0, request)
+        os.unlink(_victim_path(root, kind))
+        with pytest.raises(FileNotFoundError):
+            verify_bundle(root)
+        with pytest.raises(FileNotFoundError):
+            kind.load(root, request)
 
 
-def test_manifest_commit_fsyncs_before_and_after_rename(tmp_path, monkeypatch):
+def test_load_rejects_dtype_drift(tmp_path, request):
+    """A file whose dtype -- or shape -- disagrees with the manifest is
+    refused at load."""
+    for kind in KINDS:
+        for drift in ("dtype", "shape"):
+            root = str(tmp_path / kind.label / drift)
+            kind.save(root, 0, request)
+            path = _victim_path(root, kind)
+            arr = np.load(path)
+            if drift == "dtype":
+                arr = arr.astype(np.float32 if arr.dtype.kind == "f" else np.int32)
+            else:
+                arr = np.append(arr, arr[:1])
+            np.save(path, arr)
+            with pytest.raises(ValueError, match=drift):
+                kind.load(root, request)
+
+
+def test_generations_are_garbage_collected(tmp_path, request):
+    for kind in KINDS:
+        root = str(tmp_path / kind.label)
+        kind.save(root, 0, request)
+        first_gen = read_bundle(root, kind.kind, kind.schema)[0]["generation"]
+        kind.save(root, 1, request)
+        second = read_bundle(root, kind.kind, kind.schema)[0]
+        assert second["generation"] != first_gen, kind
+        gens = [d for d in os.listdir(root) if d.startswith("data-")]
+        assert gens == [second["generation"]], kind
+        # And the survivor still loads + verifies.
+        verify_bundle(root)
+        kind.load(root, request)
+
+
+def test_manifest_commit_fsyncs_before_and_after_rename(
+    tmp_path, monkeypatch, request
+):
     """The rename is the commit point: the tmp manifest's bytes must be
     fsynced before ``os.replace`` and the directory entry after it, or a
     crash can surface a committed-but-torn manifest."""
-    import repro.store.sharded as sharded_mod
+    import stat
 
     events = []
     real_fsync, real_replace = os.fsync, os.replace
 
     def spy_fsync(fd):
-        events.append(("fsync", "dir" if _fd_is_dir(fd) else "file"))
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        events.append(("fsync", "dir" if is_dir else "file"))
         real_fsync(fd)
-
-    def _fd_is_dir(fd):
-        import stat
-
-        return stat.S_ISDIR(os.fstat(fd).st_mode)
 
     def spy_replace(src, dst):
         events.append(("replace", os.path.basename(dst)))
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "fsync", spy_fsync)
-    monkeypatch.setattr(sharded_mod.os, "replace", spy_replace)
-    claims = make_random_claims(15, n=120)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=2).save(root)
-
-    commit = events.index(("replace", "manifest.json"))
-    before, after = events[:commit], events[commit + 1 :]
-    assert ("fsync", "file") in before  # tmp manifest contents on disk
-    assert ("fsync", "dir") in before  # tmp entry durable pre-rename
-    assert ("fsync", "dir") in after  # the rename itself durable
-    assert_claims_bitwise(ShardedClaimColumns.load(root).to_claims(), claims)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    for kind in KINDS:
+        events.clear()
+        root = str(tmp_path / kind.label)
+        kind.save(root, 0, request)
+        commit = events.index(("replace", "manifest.json"))
+        before, after = events[:commit], events[commit + 1 :]
+        assert ("fsync", "file") in before, kind  # tmp manifest contents
+        assert ("fsync", "dir") in before, kind  # tmp entry durable pre-rename
+        assert ("fsync", "dir") in after, kind  # the rename itself durable
+        kind.load(root, request)
 
 
 def test_empty_table_round_trips(tmp_path):
@@ -292,7 +303,7 @@ def test_extra_arrays_round_trip_and_cannot_shadow(tmp_path):
     }
     root = str(tmp_path / "bundle")
     sharded.save(root, extra_shard_arrays=extras, extra_manifest={"store": {"k": 1}})
-    manifest = ShardedClaimColumns.read_manifest(root)
+    manifest = read_bundle(root, "sharded-claim-columns", 2)[0]
     assert manifest["store"] == {"k": 1}
     back = ShardedClaimColumns.load(root)
     for name in back.shard_names:
